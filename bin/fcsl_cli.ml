@@ -680,7 +680,9 @@ let table1_cmd =
           ~doc:
             "Also print the exploration-counter companion table: per row, \
              memo hits/misses, POR sleep skips, worst memo-bucket depth, \
-             and minor-heap words allocated by the explorations")
+             minor-heap words allocated by the explorations, and the \
+             stuck-state closure's effort (checks, per-label closure \
+             steps, cache hits, product-size cutoffs)")
   in
   let run jobs prune por stats =
     Verify.with_engine ~prune ~por

@@ -429,7 +429,11 @@ let read dir : record list * int =
    incrementally so resume decisions don't rescan record lists.  A
    [Spec_begin] whose params differ from the spec's previous ones
    invalidates that spec's unit-level records: results computed under
-   different engine parameters are not replayable. *)
+   different engine parameters are not replayable.  [ix_added] counts
+   unit keys (state- and spec-level) the index newly gained — it never
+   drops on invalidation, and a record rewriting a key already present
+   adds nothing — so its difference across a run is the run's fresh
+   units. *)
 type index = {
   ix_spec_done : (string * string, report_image) Hashtbl.t;
   ix_state_done : (string * string * int, state_image) Hashtbl.t;
@@ -438,6 +442,7 @@ type index = {
   ix_frontier : (string * string, int) Hashtbl.t;
   ix_cex : (string, Crash.t list) Hashtbl.t;
   mutable ix_spec_order : string list; (* first-appearance, newest first *)
+  mutable ix_added : int; (* unit keys newly added, monotone *)
 }
 
 let index_create () =
@@ -449,6 +454,7 @@ let index_create () =
     ix_frontier = Hashtbl.create 32;
     ix_cex = Hashtbl.create 8;
     ix_spec_order = [];
+    ix_added = 0;
   }
 
 let index_seen ix spec =
@@ -485,10 +491,16 @@ let index_record ix = function
       Hashtbl.replace ix.ix_cex spec (prev @ [ crash ])
   | State_done { spec; tier; index; state } ->
     index_seen ix spec;
-    Hashtbl.replace ix.ix_state_done (spec, tier, index) state
+    let key = (spec, tier, index) in
+    if not (Hashtbl.mem ix.ix_state_done key) then
+      ix.ix_added <- ix.ix_added + 1;
+    Hashtbl.replace ix.ix_state_done key state
   | Spec_done ri ->
     index_seen ix ri.ri_spec;
-    Hashtbl.replace ix.ix_spec_done (ri.ri_spec, ri.ri_params) ri
+    let key = (ri.ri_spec, ri.ri_params) in
+    if not (Hashtbl.mem ix.ix_spec_done key) then
+      ix.ix_added <- ix.ix_added + 1;
+    Hashtbl.replace ix.ix_spec_done key ri
 
 (* The records worth keeping at compaction: completed verdicts, every
    unit-level result (kept even once subsumed by a Spec_done, so the
@@ -813,6 +825,8 @@ let spec_params t ~spec = locked t (fun () -> Hashtbl.find_opt t.ix.ix_params sp
 let completed_units t =
   locked t (fun () ->
       Hashtbl.length t.ix.ix_state_done + Hashtbl.length t.ix.ix_spec_done)
+
+let added_units t = locked t (fun () -> t.ix.ix_added)
 
 let counterexamples t ~spec =
   locked t (fun () ->

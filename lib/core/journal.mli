@@ -215,6 +215,14 @@ val completed_units : t -> int
     spec-level completions) currently recorded — the monotone progress
     measure the kill9 chaos mode asserts on. *)
 
+val added_units : t -> int
+(** The number of unit keys (state-level plus spec-level) this handle's
+    index has newly gained since it was opened, recovery included.
+    Monotone, unlike {!completed_units}, which drops when a
+    [Spec_begin] under new parameters invalidates a spec's older units;
+    a record rewriting a key already present adds nothing.  Its
+    difference across a run counts the units that run added. *)
+
 val counterexamples : t -> spec:string -> Crash.t list
 
 (** {1 Per-exploration writers}

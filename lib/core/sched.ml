@@ -523,6 +523,38 @@ let env_moves_aux : type a. genv -> Contrib.t -> a rt -> env_move list =
 let env_moves genv mine rt =
   List.map (fun ev -> (Lazy.force ev.ev_name, ev.ev_genv)) (env_moves_aux genv mine rt)
 
+(* Exploration statistics: configurations actually entered (same cadence
+   as the budget tick), memo behaviour, sleep-set skips, allocation and
+   the stuck-state closure's effort, exposed so callers can report the
+   effect of the active reductions (dedup, pruning, POR) and measure —
+   not guess — the hot path. *)
+type explore_stats = {
+  mutable es_configs : int; (* configurations entered *)
+  mutable es_memo_hits : int; (* memoized subtrees replayed *)
+  mutable es_memo_misses : int; (* configurations explored afresh *)
+  mutable es_sleep_skips : int; (* subtrees the sleep set pruned *)
+  mutable es_max_bucket : int; (* worst memo hash-bucket collision depth *)
+  mutable es_minor_words : float; (* Gc.minor_words allocated exploring *)
+  mutable es_stuck_calls : int; (* stuck-state checks run *)
+  mutable es_stuck_steps : int; (* per-label closure states expanded *)
+  mutable es_stuck_hits : int; (* per-label closures served by the cache *)
+  mutable es_stuck_cutoffs : int; (* answered "not stuck" from sizes alone *)
+}
+
+let new_stats () =
+  {
+    es_configs = 0;
+    es_memo_hits = 0;
+    es_memo_misses = 0;
+    es_sleep_skips = 0;
+    es_max_bucket = 0;
+    es_minor_words = 0.;
+    es_stuck_calls = 0;
+    es_stuck_steps = 0;
+    es_stuck_hits = 0;
+    es_stuck_cutoffs = 0;
+  }
+
 (* Stuck-state detection.  When every program leaf is blocked on a
    disabled action, the configuration is either a genuine deadlock or
    merely waiting on environment interference.  [confirms_stuck] closes
@@ -534,45 +566,287 @@ let env_moves genv mine rt =
    distinct shared states the answer is conservatively "not stuck"
    (divergence, exactly as before).  Labels closed to interference
    ([genv.interfere]) cannot be changed by the environment, so a
-   no-interference verification confirms immediately. *)
+   no-interference verification confirms immediately.
+
+   The answer is a property of the closure as a set — stuck iff it has
+   at most [stuck_closure_cap] distinct states and none of them enables
+   a program move — so it does not depend on the order the closure is
+   walked in.  That leaves the walk free to exploit the closure's shape
+   (DESIGN.md §18): an env step at label [l] reads and writes only
+   [l]'s slice (joint heap, joint auxiliary, external contribution)
+   with our pooled contribution [ours] fixed, so the closure is the
+   Cartesian product of per-label closures.  Each label is closed alone over its own concurroid's
+   steps; a product over the cap answers "not stuck" without a single
+   [moves] call, and only a product within the cap is enumerated and
+   checked against the program.  Precondition (met at the only call
+   site): the starting configuration itself enables no program move. *)
 
 let stuck_closure_cap = 512
 
-let genv_same a b =
-  a.ghash = b.ghash
-  && Label.Map.equal Heap.equal a.joints b.joints
-  && Contrib.equal a.jauxs b.jauxs
-  && Contrib.equal a.ext_other b.ext_other
+(* One label's share of the shared state, with its contribution to
+   [genv.ghash].  Two shared states are the same when their joint heaps
+   agree under [Heap.equal] and their joint auxiliaries and external
+   contributions under [Contrib.equal]; per label that is [Heap.equal]
+   and [Aux.equal] on [Contrib.get], which reads an absent binding as
+   [Aux.Unit]. *)
+type lslice = { lj : Heap.t; la : Aux.t; le : Aux.t; lh : int }
+
+let lslice l lj la le =
+  { lj; la; le; lh = mix_joint l lj lxor mix_jaux l la lxor mix_ext l le }
+
+let lslice_same a b =
+  a == b
+  || a.lh = b.lh
+     && Heap.equal a.lj b.lj
+     && Aux.equal a.la b.la
+     && Aux.equal a.le b.le
+
+(* A label's closure: every distinct slice reachable from the start (the
+   start first), or [Over] past [stuck_closure_cap]. *)
+type lclosure = Over | Within of lslice array
+
+(* Per-label closures shared across explorations: keyed by the
+   concurroid (physical identity — its transitions are closures), the
+   start slice and our contribution at the label, which together fix
+   the closure.  One cache lives for one [Verify] call, across its
+   initial states (fanned out over pool domains, hence the lock) and
+   ladder rungs; the entry bound keeps a long call's cache small. *)
+type stuck_key = {
+  sk_c : Concurroid.t;
+  sk_s : lslice;
+  sk_ours : Aux.t;
+  sk_hash : int;
+}
+
+module Stuck_tbl = Hashtbl.Make (struct
+  type t = stuck_key
+
+  let equal a b =
+    a.sk_c == b.sk_c
+    && lslice_same a.sk_s b.sk_s
+    && Aux.equal a.sk_ours b.sk_ours
+
+  let hash k = k.sk_hash
+end)
+
+(* Reusable BFS scratch: the visited slices in discovery order (also
+   the queue) and an open-addressing index over them, so a closure walk
+   allocates only the slices it discovers.  Scratches are pooled in the
+   cache and borrowed per exploration, so a call allocates at most one
+   per domain. *)
+type stuck_scratch = { ss_states : lslice array; ss_slots : int array }
+
+let slot_mask = 2047 (* 2048 slots: at most a quarter ever filled *)
+
+let new_scratch () =
+  {
+    ss_states =
+      Array.make stuck_closure_cap
+        { lj = Heap.empty; la = Aux.Unit; le = Aux.Unit; lh = 0 };
+    ss_slots = Array.make (slot_mask + 1) 0;
+  }
+
+(* Index of [s] among the visited slices, or the negated free slot to
+   record it in (linear probing from [s]'s hash). *)
+let scratch_find ss s =
+  let rec probe i =
+    match ss.ss_slots.(i) with
+    | 0 -> -i - 1
+    | k when lslice_same ss.ss_states.(k - 1) s -> k - 1
+    | _ -> probe ((i + 1) land slot_mask)
+  in
+  probe (s.lh land slot_mask)
+
+type stuck_cache = {
+  sc_lock : Mutex.t;
+  sc_tbl : lclosure Stuck_tbl.t;
+  mutable sc_free : stuck_scratch list;
+}
+
+let stuck_cache_cap = 2048
+
+let new_stuck_cache () =
+  { sc_lock = Mutex.create (); sc_tbl = Stuck_tbl.create 64; sc_free = [] }
+
+let stuck_key c l s ours =
+  {
+    sk_c = c;
+    sk_s = s;
+    sk_ours = ours;
+    sk_hash = s.lh lxor State.mix ~salt:0x6d l (Aux.hash ours);
+  }
+
+let cache_find sc k =
+  Mutex.protect sc.sc_lock (fun () -> Stuck_tbl.find_opt sc.sc_tbl k)
+
+let cache_add sc k v =
+  Mutex.protect sc.sc_lock (fun () ->
+      if Stuck_tbl.length sc.sc_tbl >= stuck_cache_cap then
+        Stuck_tbl.reset sc.sc_tbl;
+      Stuck_tbl.replace sc.sc_tbl k v)
+
+(* One exploration's view of the machinery: the shared cache, a borrowed
+   scratch (taken on the first blocked configuration) and its stats. *)
+type stuck_ctx = {
+  cx_cache : stuck_cache;
+  mutable cx_scratch : stuck_scratch option;
+  cx_stats : explore_stats option;
+}
+
+let scratch cx =
+  match cx.cx_scratch with
+  | Some ss -> ss
+  | None ->
+    let sc = cx.cx_cache in
+    let ss =
+      Mutex.protect sc.sc_lock (fun () ->
+          match sc.sc_free with
+          | ss :: rest ->
+            sc.sc_free <- rest;
+            ss
+          | [] -> new_scratch ())
+    in
+    cx.cx_scratch <- Some ss;
+    ss
+
+let release cx =
+  Option.iter
+    (fun ss ->
+      cx.cx_scratch <- None;
+      let sc = cx.cx_cache in
+      Mutex.protect sc.sc_lock (fun () -> sc.sc_free <- ss :: sc.sc_free))
+    cx.cx_scratch
+
+let count cx f = Option.iter f cx.cx_stats
+
+(* The closure of [s0] under [c]'s environment steps at label [l], our
+   contribution there being [ours].  A discovered slice whose own
+   closure is cached as [Over] makes this one [Over] too: its closure is
+   a subset of this one. *)
+let label_closure cx c l ours s0 =
+  let key = stuck_key c l s0 ours in
+  match cache_find cx.cx_cache key with
+  | Some r ->
+    count cx (fun st -> st.es_stuck_hits <- st.es_stuck_hits + 1);
+    r
+  | None ->
+    let ss = scratch cx in
+    Array.fill ss.ss_slots 0 (slot_mask + 1) 0;
+    let n = ref 0 in
+    let add s slot =
+      ss.ss_states.(!n) <- s;
+      ss.ss_slots.(slot) <- !n + 1;
+      incr n
+    in
+    add s0 (s0.lh land slot_mask);
+    let over = ref false in
+    let visit (_, s') =
+      if not !over then begin
+        let t = lslice l (Slice.joint s') (Slice.jaux s') (Slice.self s') in
+        let i = scratch_find ss t in
+        if i < 0 then
+          if !n >= stuck_closure_cap then over := true
+          else
+            match cache_find cx.cx_cache (stuck_key c l t ours) with
+            | Some Over ->
+              count cx (fun st -> st.es_stuck_hits <- st.es_stuck_hits + 1);
+              over := true
+            | Some (Within _) | None -> add t (-i - 1)
+      end
+    in
+    let head = ref 0 in
+    while (not !over) && !head < !n do
+      let s = ss.ss_states.(!head) in
+      incr head;
+      count cx (fun st -> st.es_stuck_steps <- st.es_stuck_steps + 1);
+      List.iter visit
+        (Concurroid.steps c
+           (Slice.make_jaux ~jaux:s.la ~self:s.le ~joint:s.lj ~other:ours))
+    done;
+    let r = if !over then Over else Within (Array.sub ss.ss_states 0 !n) in
+    cache_add cx.cx_cache key r;
+    r
 
 exception Not_stuck
 
-let confirms_stuck : type a. genv -> Contrib.t -> a rt -> bool =
- fun genv0 mine rt ->
-  let visited = ref [ genv0 ] in
-  let nvisited = ref 1 in
-  let rec bfs = function
-    | [] -> ()
-    | g :: rest ->
-      let fresh =
-        List.filter_map
-          (fun ev ->
-            let g' = ev.ev_genv in
-            (* Any program move becoming schedulable — including an
-               unsafe one, which the real search would report as a
-               crash — counts as progress. *)
-            if moves g' Contrib.empty mine rt <> [] then raise Not_stuck;
-            if List.exists (genv_same g') !visited then None
-            else begin
-              if !nvisited >= stuck_closure_cap then raise Not_stuck;
-              visited := g' :: !visited;
-              incr nvisited;
-              Some g'
-            end)
-          (env_moves_aux g mine rt)
+let confirms_stuck_in : type a. stuck_ctx -> genv -> Contrib.t -> a rt -> bool
+    =
+ fun cx genv0 mine rt ->
+  count cx (fun st -> st.es_stuck_calls <- st.es_stuck_calls + 1);
+  match Option.bind (inner_contribs rt) (Contrib.join mine) with
+  | None -> true (* no env step is defined: the closure is the start *)
+  | Some ours -> (
+    (* Per-label closures of the labels the environment can move, with
+       the running product of their sizes. *)
+    let rec factors size acc = function
+      | [] -> Some acc
+      | c :: rest -> (
+        let l = Concurroid.label c in
+        if not (Label.Set.mem l genv0.interfere) then factors size acc rest
+        else
+          match Label.Map.find_opt l genv0.joints with
+          | None -> factors size acc rest
+          | Some joint -> (
+            let s0 =
+              lslice l joint
+                (Contrib.get l genv0.jauxs)
+                (Contrib.get l genv0.ext_other)
+            in
+            match label_closure cx c l (Contrib.get l ours) s0 with
+            | Over -> None
+            | Within states ->
+              let size = size * Array.length states in
+              if size > stuck_closure_cap then None
+              else if Array.length states = 1 then factors size acc rest
+              else factors size ((l, states) :: acc) rest))
+    in
+    match factors 1 [] (World.concurroids genv0.world) with
+    | None ->
+      count cx (fun st -> st.es_stuck_cutoffs <- st.es_stuck_cutoffs + 1);
+      false
+    | Some fs ->
+      (* Enumerate the product, sharing each prefix's patched genv; the
+         all-start tuple is the starting configuration itself. *)
+      let patch g l s0 s =
+        {
+          g with
+          joints = Label.Map.add l s.lj g.joints;
+          jauxs = Contrib.set l s.la g.jauxs;
+          ext_other = Contrib.set l s.le g.ext_other;
+          ghash = g.ghash lxor s0.lh lxor s.lh;
+        }
       in
-      bfs (rest @ fresh)
-  in
-  match bfs [ genv0 ] with () -> true | exception Not_stuck -> false
+      let rec enum g moved = function
+        | [] ->
+          if moved && moves g Contrib.empty mine rt <> [] then raise Not_stuck
+        | (l, states) :: rest ->
+          enum g moved rest;
+          for i = 1 to Array.length states - 1 do
+            enum (patch g l states.(0) states.(i)) true rest
+          done
+      in
+      match enum genv0 false fs with
+      | () -> true
+      | exception Not_stuck -> false)
+
+let new_ctx ?cache ?stats () =
+  let cx_cache = match cache with Some c -> c | None -> new_stuck_cache () in
+  { cx_cache; cx_scratch = None; cx_stats = stats }
+
+let confirms_stuck ?cache ?stats genv mine rt =
+  let cx = new_ctx ?cache ?stats () in
+  Fun.protect
+    ~finally:(fun () -> release cx)
+    (fun () -> confirms_stuck_in cx genv mine rt)
+
+(* Observation hook for the differential suite: sees every blocked
+   configuration exploration meets, with the answer it got. *)
+type stuck_probe = {
+  on_blocked : 'a. genv -> Contrib.t -> 'a rt -> bool -> unit;
+}
+
+let stuck_probe : stuck_probe option Atomic.t = Atomic.make None
+let set_stuck_probe p = Atomic.set stuck_probe p
 
 (* The held-lock witness: lock-shaped world concurroids whose holding
    observer is true of the slice seen by the pooled program
@@ -989,29 +1263,6 @@ type 'a memo_entry = {
    through their (cached) children anyway. *)
 let memo_store_cap = 4096
 
-(* Exploration statistics: configurations actually entered (same cadence
-   as the budget tick), memo behaviour, sleep-set skips and allocation,
-   exposed so callers can report the effect of the active reductions
-   (dedup, pruning, POR) and measure — not guess — the hot path. *)
-type explore_stats = {
-  mutable es_configs : int; (* configurations entered *)
-  mutable es_memo_hits : int; (* memoized subtrees replayed *)
-  mutable es_memo_misses : int; (* configurations explored afresh *)
-  mutable es_sleep_skips : int; (* subtrees the sleep set pruned *)
-  mutable es_max_bucket : int; (* worst memo hash-bucket collision depth *)
-  mutable es_minor_words : float; (* Gc.minor_words allocated exploring *)
-}
-
-let new_stats () =
-  {
-    es_configs = 0;
-    es_memo_hits = 0;
-    es_memo_misses = 0;
-    es_sleep_skips = 0;
-    es_max_bucket = 0;
-    es_minor_words = 0.;
-  }
-
 (* Raised (internally) when a move mutates a label outside its declared
    footprint while POR is active: every independence claim involving the
    move is void, so the exploration restarts without reduction. *)
@@ -1043,8 +1294,9 @@ exception Analyzer_lie_exn of Crash.t
    static claim can therefore never flip a verdict. *)
 let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
     ?(env_budget = max_int) ?(dedup = false) ?monitor_envelope ?budget ?journal
-    ?por ?stats (genv0 : genv) (mine0 : Contrib.t) (prog : 'a Prog.t) :
-    'a outcome list * bool =
+    ?por ?stats ?stuck_cache (genv0 : genv) (mine0 : Contrib.t)
+    (prog : 'a Prog.t) : 'a outcome list * bool =
+  let stuck_cx = new_ctx ?cache:stuck_cache ?stats () in
   (* Cooperative budget poll, one per explored configuration.  A trip
      aborts through the existing [Stop] path, so (a) [complete] comes
      back [false] exactly as on a [max_outcomes] cut and (b) no memo
@@ -1183,7 +1435,10 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
       if !count >= max_outcomes then raise Stop
     in
     let keyer = Keyer.create () in
-    let memo : 'a memo_entry Memo.t = Memo.create (if dedup then 4096 else 1) in
+    (* Small to start: most explorations (one per initial state) enter
+       a few dozen configurations, and a table born at thousands of
+       buckets goes straight to the major heap as garbage-to-be. *)
+    let memo : 'a memo_entry Memo.t = Memo.create (if dedup then 64 else 1) in
     (* Subtree-need accounting: absolute-depth high-water mark, budget
        low-water mark, and whether the fuel limit was hit.  Saved and
        restored around every memoized subtree. *)
@@ -1290,7 +1545,11 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
            move, this is a genuine deadlock — crash with the held-lock
            and blocked-move witness; otherwise the interference budget
            merely ran out: divergence, as before. *)
-        if confirms_stuck genv mine rt then
+        let stuck = confirms_stuck_in stuck_cx genv mine rt in
+        Option.iter
+          (fun p -> p.on_blocked genv mine rt stuck)
+          (Atomic.get stuck_probe);
+        if stuck then
           record
             (Crashed
                (Crash.make ~trace:(trace_steps trace) Crash.Deadlock
@@ -1435,16 +1694,20 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
   in
   let mw0 = match stats with Some _ -> Gc.minor_words () | None -> 0. in
   let result =
-    match por with
-    | None -> run None
-    | Some p -> (
-      (* Restart-on-lie: outcomes recorded before the abort are discarded
-         (the rerun regenerates them); journal records already appended
-         are genuine discoveries and remain sound. *)
-      try run (Some p)
-      with Analyzer_lie_exn c ->
-        Por.record_lie p c;
-        run None)
+    Fun.protect
+      ~finally:(fun () -> release stuck_cx)
+      (fun () ->
+        match por with
+        | None -> run None
+        | Some p -> (
+          (* Restart-on-lie: outcomes recorded before the abort are
+             discarded (the rerun regenerates them); journal records
+             already appended are genuine discoveries and remain
+             sound. *)
+          try run (Some p)
+          with Analyzer_lie_exn c ->
+            Por.record_lie p c;
+            run None))
   in
   (match stats with
   | Some s -> s.es_minor_words <- s.es_minor_words +. (Gc.minor_words () -. mw0)

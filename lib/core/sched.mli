@@ -128,12 +128,62 @@ type explore_stats = {
       (** worst memo hash-bucket collision depth observed *)
   mutable es_minor_words : float;
       (** [Gc.minor_words] allocated during exploration *)
+  mutable es_stuck_calls : int;  (** stuck-state checks run *)
+  mutable es_stuck_steps : int;
+      (** per-label closure states expanded (one {!Concurroid.steps}
+          call each) by the stuck-state checks *)
+  mutable es_stuck_hits : int;
+      (** per-label closures answered by the stuck-closure cache *)
+  mutable es_stuck_cutoffs : int;
+      (** stuck-state checks answered "not stuck" from the closure's
+          product size alone, without consulting the program *)
 }
 (** Exploration accounting, so the effect of dedup/pruning/POR — and
     the cost of the hot path itself — is measured rather than
     guessed. *)
 
 val new_stats : unit -> explore_stats
+
+(** {1 Stuck-state detection} *)
+
+val stuck_closure_cap : int
+(** 512: the most distinct shared states the environment closure of a
+    blocked configuration may have for it to count as stuck. *)
+
+type stuck_cache
+(** Per-label environment closures, keyed by concurroid (physical
+    identity), the label's slice and our contribution there.  Safe to
+    share across domains; bounded in entries.  {!Verify} keeps one per
+    call, shared by its initial states and ladder rungs. *)
+
+val new_stuck_cache : unit -> stuck_cache
+
+val confirms_stuck :
+  ?cache:stuck_cache ->
+  ?stats:explore_stats ->
+  genv ->
+  Contrib.t ->
+  'a rt ->
+  bool
+(** [confirms_stuck genv mine rt], for a configuration enabling no
+    program move: [true] iff the closure of [genv] under environment
+    steps (every label open to interference, budget ignored) has at most
+    {!stuck_closure_cap} distinct shared states and none of them
+    enables a program move.  Computed as a product of per-label
+    closures (DESIGN.md §18); the answer does not depend on the order
+    the closure is walked in. *)
+
+type stuck_probe = {
+  on_blocked : 'a. genv -> Contrib.t -> 'a rt -> bool -> unit;
+}
+(** Sees each blocked configuration {!explore} meets — every program
+    move disabled and no env move within budget — with the
+    {!confirms_stuck} answer it got.  Called from whichever domain
+    explores, so it must be thread-safe. *)
+
+val set_stuck_probe : stuck_probe option -> unit
+(** Install (or with [None] remove) the process-wide probe.  For the
+    differential test suite; off by default. *)
 
 val explore :
   ?fuel:int ->
@@ -146,6 +196,7 @@ val explore :
   ?journal:Journal.writer ->
   ?por:Por.t ->
   ?stats:explore_stats ->
+  ?stuck_cache:stuck_cache ->
   genv ->
   Contrib.t ->
   'a Prog.t ->
@@ -200,7 +251,9 @@ val explore :
     no reachable environment state re-enables any program move, the
     path records a {!Crash.Deadlock} crash whose message carries the
     held-lock set (per {!Concurroid.lock_info}) and the blocked moves;
-    otherwise it remains [Diverged] exactly as before. *)
+    otherwise it remains [Diverged] exactly as before.  [stuck_cache]
+    (default: a fresh one per call) shares the per-label closures
+    across explorations. *)
 
 val run_with_chooser :
   ?fuel:int ->

@@ -49,6 +49,10 @@ type expl_stats = {
   x_sleep_skips : int;
   x_max_bucket : int;
   x_minor_words : float;
+  x_stuck_calls : int;
+  x_stuck_steps : int;
+  x_stuck_hits : int;
+  x_stuck_cutoffs : int;
 }
 
 let expl_of_sched (s : Sched.explore_stats) : expl_stats =
@@ -58,6 +62,10 @@ let expl_of_sched (s : Sched.explore_stats) : expl_stats =
     x_sleep_skips = s.Sched.es_sleep_skips;
     x_max_bucket = s.Sched.es_max_bucket;
     x_minor_words = s.Sched.es_minor_words;
+    x_stuck_calls = s.Sched.es_stuck_calls;
+    x_stuck_steps = s.Sched.es_stuck_steps;
+    x_stuck_hits = s.Sched.es_stuck_hits;
+    x_stuck_cutoffs = s.Sched.es_stuck_cutoffs;
   }
 
 let merge_expl a b =
@@ -71,20 +79,25 @@ let merge_expl a b =
         x_sleep_skips = a.x_sleep_skips + b.x_sleep_skips;
         x_max_bucket = max a.x_max_bucket b.x_max_bucket;
         x_minor_words = a.x_minor_words +. b.x_minor_words;
+        x_stuck_calls = a.x_stuck_calls + b.x_stuck_calls;
+        x_stuck_steps = a.x_stuck_steps + b.x_stuck_steps;
+        x_stuck_hits = a.x_stuck_hits + b.x_stuck_hits;
+        x_stuck_cutoffs = a.x_stuck_cutoffs + b.x_stuck_cutoffs;
       }
 
 let pp_expl_stats ppf (x : expl_stats) =
+  let pl n suffix = if n = 1 then "" else suffix in
   Fmt.pf ppf
     "memo %d hit%s / %d miss%s, %d sleep skip%s, bucket depth %d, %.0fk minor \
-     words"
-    x.x_memo_hits
-    (if x.x_memo_hits = 1 then "" else "s")
-    x.x_memo_misses
-    (if x.x_memo_misses = 1 then "" else "es")
-    x.x_sleep_skips
-    (if x.x_sleep_skips = 1 then "" else "s")
+     words, %d stuck check%s (%d closure step%s, %d cache hit%s, %d \
+     cutoff%s)"
+    x.x_memo_hits (pl x.x_memo_hits "s") x.x_memo_misses
+    (pl x.x_memo_misses "es") x.x_sleep_skips (pl x.x_sleep_skips "s")
     x.x_max_bucket
     (x.x_minor_words /. 1000.)
+    x.x_stuck_calls (pl x.x_stuck_calls "s") x.x_stuck_steps
+    (pl x.x_stuck_steps "s") x.x_stuck_hits (pl x.x_stuck_hits "s")
+    x.x_stuck_cutoffs (pl x.x_stuck_cutoffs "s")
 
 type report = {
   spec_name : string;
@@ -453,7 +466,7 @@ let unit_cached (jctx : jctx option) ~index ~(keep : state_result -> bool)
 (* One ladder attempt: a full (possibly footprint-pruned) exploration of
    every eligible state under an optional armed budget. *)
 let exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
-    ~max_failures ~dedup ~jobs ~prune ~por ~por_certs
+    ~max_failures ~dedup ~jobs ~prune ~por ~por_certs ~stuck_cache
     ~(budget : Budget.t option) ?(jctx : jctx option) ~(world : World.t)
     ~(eligible : State.t list) (prog : 'a Prog.t) (spec : 'a Spec.t) : core =
   (* Env-step pruning oracle: interference at a label neither the program
@@ -490,8 +503,8 @@ let exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
     let oracle = if por then Some (Por.make ~extra:por_certs ()) else None in
     let outs, compl =
       Sched.explore ~fuel ~max_outcomes ~interference ~env_budget ~dedup
-        ?monitor_envelope ?budget ?journal:jwriter ?por:oracle ~stats genv
-        mine prog
+        ?monitor_envelope ?budget ?journal:jwriter ?por:oracle ~stats
+        ~stuck_cache genv mine prog
     in
     Option.iter
       (fun p ->
@@ -789,10 +802,14 @@ let check_triple ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
        (orthogonal reductions — labels cut vs. interleavings cut) and
        with budgets (fewer configurations per tick).  The sampled rung
        runs single schedules, where there is nothing to reduce. *)
+    (* One stuck-closure cache for the whole call: blocked
+       configurations of different initial states and rungs share most
+       of their per-label closures.  Dropped when the call returns. *)
+    let stuck_cache = Sched.new_stuck_cache () in
     let attempt ~prune ?jctx b =
       exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
-        ~max_failures ~dedup ~jobs ~prune ~por ~por_certs ~budget:b ?jctx
-        ~world ~eligible prog spec
+        ~max_failures ~dedup ~jobs ~prune ~por ~por_certs ~stuck_cache
+        ~budget:b ?jctx ~world ~eligible prog spec
     in
     let tier1 = if prune && fp_known then Pruned else Exhaustive in
     if Budget.is_unlimited lim then

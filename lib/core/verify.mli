@@ -35,6 +35,13 @@ type expl_stats = {
   x_minor_words : float;
       (** [Gc.minor_words] delta over the explorations — the allocation
           cost of the hot path *)
+  x_stuck_calls : int;  (** stuck-state checks run *)
+  x_stuck_steps : int;
+      (** per-label environment-closure states the checks expanded *)
+  x_stuck_hits : int;  (** per-label closures served by the cache *)
+  x_stuck_cutoffs : int;
+      (** checks answered "not stuck" from the closure's product size
+          alone *)
 }
 (** Always-on exploration counters, summed ({!Sched.explore_stats}
     [es_max_bucket]: maxed) over a verdict's initial states and,
@@ -49,7 +56,8 @@ val merge_expl :
 
 val pp_expl_stats : Format.formatter -> expl_stats -> unit
 (** One-line rendering, e.g.
-    ["memo 120 hits / 80 misses, 14 sleep skips, bucket depth 3, 52k minor words"]. *)
+    ["memo 120 hits / 80 misses, 14 sleep skips, bucket depth 3, 52k minor
+    words, 9 stuck checks (40 closure steps, 5 cache hits, 2 cutoffs)"]. *)
 
 type report = {
   spec_name : string;

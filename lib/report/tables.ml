@@ -94,17 +94,21 @@ let pp_table1 ppf rows =
    separate printer (not an option on [pp_table1]) because the plain
    table is passed around as a first-class [%a] value. *)
 let pp_table1_stats ppf rows =
-  Fmt.pf ppf "%-14s %10s %10s %10s %7s %12s@." "Program" "MemoHit" "MemoMiss"
-    "SleepSkip" "Bucket" "MinorWords";
+  Fmt.pf ppf "%-14s %10s %10s %10s %7s %12s %8s %10s %8s %8s@." "Program"
+    "MemoHit" "MemoMiss" "SleepSkip" "Bucket" "MinorWords" "Stuck" "StuckStep"
+    "StuckHit" "StuckCut";
   List.iter
     (fun r ->
       match row_expl r with
-      | None -> Fmt.pf ppf "%-14s %10s %10s %10s %7s %12s@." r.r_name "-" "-"
-                  "-" "-" "-"
+      | None ->
+        Fmt.pf ppf "%-14s %10s %10s %10s %7s %12s %8s %10s %8s %8s@." r.r_name
+          "-" "-" "-" "-" "-" "-" "-" "-" "-"
       | Some x ->
-        Fmt.pf ppf "%-14s %10d %10d %10d %7d %12.0f@." r.r_name
-          x.Verify.x_memo_hits x.Verify.x_memo_misses x.Verify.x_sleep_skips
-          x.Verify.x_max_bucket x.Verify.x_minor_words)
+        Fmt.pf ppf "%-14s %10d %10d %10d %7d %12.0f %8d %10d %8d %8d@."
+          r.r_name x.Verify.x_memo_hits x.Verify.x_memo_misses
+          x.Verify.x_sleep_skips x.Verify.x_max_bucket x.Verify.x_minor_words
+          x.Verify.x_stuck_calls x.Verify.x_stuck_steps x.Verify.x_stuck_hits
+          x.Verify.x_stuck_cutoffs)
     rows
 
 (* Table 2. *)

@@ -136,6 +136,10 @@ type t = {
   mutable shed_total : int;
   mutable memo_hits : int;
   mutable memo_misses : int;
+  (* progress sampling: what the ticker watches, under [tick_mu] *)
+  tick_mu : Mutex.t;
+  tick_cv : Condition.t;
+  mutable ticking : [ `Idle | `Job of job | `Stop ];
 }
 
 let ledger_spec case = "job/" ^ case
@@ -296,6 +300,9 @@ let create cfg =
       shed_total = 0;
       memo_hits = 0;
       memo_misses = 0;
+      tick_mu = Mutex.create ();
+      tick_cv = Condition.create ();
+      ticking = `Idle;
     }
   in
   (* Crash recovery: the ledger's in-flight entries are jobs a previous
@@ -377,26 +384,11 @@ let run_job t job =
       ~cancel:(fun () -> Atomic.get job.jb_cancel)
       job.jb_run_qos
   in
-  (* Progress frames ride a side thread: the tick hook runs on worker
-     domains inside the exploration and must stay allocation-trivial,
-     so it only bumps an atomic that this thread samples. *)
-  let progressing = Atomic.make true in
-  let progress_thread =
-    Thread.create
-      (fun () ->
-        let last = ref 0 in
-        while Atomic.get progressing do
-          Thread.delay 0.25;
-          let n = Atomic.get job.jb_ticks in
-          if n > !last && Atomic.get progressing then begin
-            last := n;
-            notify_waiters t job (Protocol.progress ~job:job.jb_id ~states:n)
-          end
-        done)
-      ()
-  in
+  Mutex.protect t.tick_mu (fun () ->
+      t.ticking <- `Job job;
+      Condition.signal t.tick_cv);
   let started = now () in
-  let units0 = Journal.completed_units t.jrnl in
+  let units0 = Journal.added_units t.jrnl in
   let outcome =
     try
       Ok
@@ -404,10 +396,11 @@ let run_job t job =
            ~journal:(Some t.jrnl) case.Registry.c_verify)
     with e -> Error (Crash.of_exn e)
   in
-  Atomic.set progressing false;
-  Thread.join progress_thread;
+  (* Taken before the verdict goes out: a progress frame the ticker is
+     sending completes first, and none can follow. *)
+  Mutex.protect t.tick_mu (fun () -> t.ticking <- `Idle);
   let elapsed_s = now () -. started in
-  let fresh_units = Journal.completed_units t.jrnl - units0 in
+  let fresh_units = Journal.added_units t.jrnl - units0 in
   let frame =
     match outcome with
     | Ok reports ->
@@ -457,6 +450,46 @@ let run_job t job =
   in
   List.iter (fun c -> send c frame) waiters
 
+(* Progress frames ride one server-wide side thread: the tick hook runs
+   on worker domains inside the exploration and must stay
+   allocation-trivial, so it only bumps the job's atomic, which this
+   thread samples every 0.25 s while a job runs (and sleeps on
+   [tick_cv] while none does).  The executor never waits for it: it
+   publishes the running job in [ticking] and withdraws it under
+   [tick_mu] before answering, which orders every progress frame before
+   the verdict. *)
+let ticker t =
+  let rec loop last_job last_n =
+    Mutex.lock t.tick_mu;
+    let rec await () =
+      match t.ticking with
+      | `Idle ->
+        Condition.wait t.tick_cv t.tick_mu;
+        await ()
+      | `Stop -> true
+      | `Job _ -> false
+    in
+    let stop = await () in
+    Mutex.unlock t.tick_mu;
+    if not stop then begin
+      Thread.delay 0.25;
+      let last_job, last_n =
+        Mutex.protect t.tick_mu (fun () ->
+            match t.ticking with
+            | `Idle | `Stop -> (last_job, last_n)
+            | `Job job ->
+              let prev = if job.jb_id = last_job then last_n else 0 in
+              let n = Atomic.get job.jb_ticks in
+              if n > prev then
+                notify_waiters t job
+                  (Protocol.progress ~job:job.jb_id ~states:n);
+              (job.jb_id, max n prev))
+      in
+      loop last_job last_n
+    end
+  in
+  loop (-1) 0
+
 let exec_loop t =
   let rec next () =
     Mutex.lock t.mu;
@@ -492,6 +525,9 @@ let exec_loop t =
       next ()
   in
   next ();
+  Mutex.protect t.tick_mu (fun () ->
+      t.ticking <- `Stop;
+      Condition.signal t.tick_cv);
   locked t (fun () -> t.exec_done <- true)
 
 (* --- Request handling -------------------------------------------------- *)
@@ -745,6 +781,7 @@ let run t =
   Unix.bind listen_fd (Unix.ADDR_UNIX t.cfg.sc_socket);
   Unix.listen listen_fd 64;
   let executor = Thread.create exec_loop t in
+  let progress = Thread.create ticker t in
   let conn_threads = ref [] in
   let finished () = locked t (fun () -> t.exec_done) in
   while not (finished ()) do
@@ -782,6 +819,7 @@ let run t =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   Thread.join executor;
+  Thread.join progress;
   (try Unix.close listen_fd with _ -> ());
   (try Unix.unlink t.cfg.sc_socket with _ -> ());
   (* Unblock the reader threads: shutting the sockets down makes their

@@ -20,6 +20,7 @@ let () =
       ("report", Test_report.suite);
       ("analysis", Test_analysis.suite);
       ("deadlock", Test_deadlock.suite);
+      ("stuck", Test_stuck.suite);
       ("robust", Test_robust.suite);
       ("journal", Test_journal.suite);
       ("por", Test_por.suite);

@@ -261,6 +261,70 @@ let test_serve_cold_then_memo () =
       | Error e -> failf "status: %a" Client.pp_submit_error e);
       Client.close cn)
 
+(* Job completion never waits on the progress ticker: a memo hit comes
+   back well inside the ticker's 0.25 s sampling period, and once a
+   verdict is out no progress frame for it follows on the connection —
+   the next frame after a long cold job's verdict, read after the
+   ticker has had time to fire again, answers the next request. *)
+let test_verdict_not_delayed_by_ticker () =
+  with_server ~tag:"ticker" (fun ~socket ~dir:_ ->
+      let cn = Client.connect ~socket in
+      let progress = ref 0 in
+      (match
+         Client.submit cn ~case:"CG allocator"
+           ~on_progress:(fun _ -> incr progress)
+       with
+      | Ok v -> check "cold verdict ok" true (v.Client.v_status = 0)
+      | Error e -> failf "cold submit: %a" Client.pp_submit_error e);
+      Thread.delay 0.6;
+      (match Client.health cn with
+      | Ok _ -> ()
+      | Error e ->
+        failf "next frame after the verdict (%d progress frames before it): %a"
+          !progress Client.pp_submit_error e);
+      let memo_s () =
+        let t0 = Unix.gettimeofday () in
+        (match Client.submit cn ~case:"CG allocator" with
+        | Ok v -> check "memo hit" true v.Client.v_memo
+        | Error e -> failf "memo submit: %a" Client.pp_submit_error e);
+        Unix.gettimeofday () -. t0
+      in
+      let times = List.sort compare (List.init 5 (fun _ -> memo_s ())) in
+      let median = List.nth times 2 in
+      check
+        (Fmt.str "memo hit median %.3fs is under the ticker period" median)
+        true (median < 0.2);
+      Client.close cn)
+
+(* fresh_units counts the journal unit keys a job newly added.  A bronze
+   run after a gold one re-begins the spec under other parameters, which
+   retires gold's unit records from the live index; counting that as
+   negative progress was wrong.  Replays that rewrite existing keys add
+   nothing, so the gold memo hit stays [memo: true, fresh_units: 0]. *)
+let test_fresh_units_never_negative () =
+  with_server ~tag:"fresh" (fun ~socket ~dir:_ ->
+      let cn = Client.connect ~socket in
+      let submit qos =
+        match Client.submit cn ~qos ~case:"Treiber stack" with
+        | Ok v -> v
+        | Error e -> failf "submit: %a" Client.pp_submit_error e
+      in
+      let gold = submit Protocol.Gold in
+      check "gold cold run adds units" true (gold.Client.v_fresh_units > 0);
+      let bronze = submit Protocol.Bronze in
+      check
+        (Fmt.str "bronze fresh_units %d is not negative"
+           bronze.Client.v_fresh_units)
+        true
+        (bronze.Client.v_fresh_units >= 0);
+      check "bronze memo flag matches its unit count" true
+        (bronze.Client.v_memo = (bronze.Client.v_fresh_units = 0));
+      let again = submit Protocol.Gold in
+      check "gold again is a memo hit" true again.Client.v_memo;
+      check "gold memo hit adds no units" true
+        (again.Client.v_fresh_units = 0);
+      Client.close cn)
+
 (* M clients race the same digest: exactly one exploration runs and all
    M get the identical verdict. *)
 let test_concurrent_same_digest () =
@@ -683,6 +747,10 @@ let suite =
       test_jobs_json_schema;
     Alcotest.test_case "serve: cold then memoized verdict" `Quick
       test_serve_cold_then_memo;
+    Alcotest.test_case "serve: verdict never waits on the ticker" `Quick
+      test_verdict_not_delayed_by_ticker;
+    Alcotest.test_case "serve: fresh_units never negative" `Quick
+      test_fresh_units_never_negative;
     Alcotest.test_case "serve: M clients, one exploration" `Quick
       test_concurrent_same_digest;
     Alcotest.test_case "serve: shed past the queue bound" `Quick
